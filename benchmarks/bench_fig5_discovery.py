@@ -4,6 +4,11 @@ Reproduced series: announce->registered latency for components starting on
 machines of a range whose jurisdiction spans M machines, M in {1, 5, 25}.
 Expected shape: flat — discovery is machine-local (the Range Service answers
 on the same host) plus one registrar round trip, independent of M.
+
+Second series: deliveries while N components start on one machine, N in
+{10, 50, 200}. Expected shape: linear — only the Range Service listens for
+the link-local ``component-up``, so each start costs a constant number of
+deliveries rather than one per process already on the machine.
 """
 
 import pytest
@@ -78,6 +83,34 @@ class TestReportFigure5:
         assert kinds["range-offer"] == 1
         assert kinds["register"] == 1
         assert kinds["register-ack"] == 1
+
+    def test_report_announce_deliveries_linear_in_population(self, report):
+        report("")
+        report("F5  deliveries vs components starting on one machine")
+        report(f"{'components':>10} | {'component-up sent':>17} | "
+               f"{'RS heard':>8} | {'deliveries/start':>16}")
+        per_start = []
+        for count in (10, 50, 200):
+            net, guids, server, machines = build_range(1)
+            net.scheduler.run_for(20)
+            net.stats.reset()
+            rs = server.range_services[machines[0]]
+            offers_before = rs.offers_made
+            ces = [ContextEntity(
+                Profile(guids.mint(), f"ce-{index}",
+                        outputs=[TypeSpec("temperature", "celsius")]),
+                machines[0], net) for index in range(count)]
+            for ce in ces:
+                ce.start()
+            net.scheduler.run_for(20)
+            assert all(ce.registered for ce in ces)
+            sent = net.stats.by_kind["component-up"]
+            heard = rs.offers_made - offers_before
+            per_start.append(net.stats.delivered / count)
+            report(f"{count:>10} | {sent:>17} | {heard:>8} | "
+                   f"{per_start[-1]:>16.2f}")
+            assert sent == heard == count  # one announce, heard once, per start
+        assert max(per_start) - min(per_start) < 0.5  # linear, not quadratic
 
 
 class TestBenchFigure5:

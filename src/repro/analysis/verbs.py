@@ -301,6 +301,11 @@ Roles: a **request** verb needs a `kind`-handler at the receiver; a
 **reply** verb is consumed by RPC correlation (`reply_to`) and needs none;
 an **external api** verb is declared in its module's docstring and is sent
 by applications or tests rather than library components.
+
+A verb sent to `BROADCAST` is link-local: the transport delivers it only
+to the processes on the sender's host that declare the verb in their
+`BROADCAST_KINDS` — for `component-up`, the host's Range Service — and to
+no other process on that host or any other host.
 """
 
 

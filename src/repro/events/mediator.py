@@ -163,35 +163,37 @@ class EventMediator(Process):
         #: retained stores split across shards can be merged back into the
         #: order a single mediator would have replayed them in.
         self._retained_first: Dict[tuple, int] = {}
-        # hot-path counter handles, resolved once (registry lookup is not free)
+        # hot-path counter handles, bound once to this mediator's range label
+        # (registry lookup and label validation are not free)
         metrics = network.obs.metrics
+        label = self.range_name or "-"
         self._published_counter = metrics.counter(
             "mediator.events.published", "events published per range",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self._deliveries_counter = metrics.counter(
             "mediator.events.delivered",
             "matched events forwarded to subscribers",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self._index_hits_counter = metrics.counter(
             "mediator.index.hits",
             "dispatch candidates served from exact-match index buckets",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self._index_residual_counter = metrics.counter(
             "mediator.index.residual_scans",
             "dispatch candidates scanned from the non-indexable residual list",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self._retained_evicted_counter = metrics.counter(
             "mediator.retained.evicted",
             "retained events dropped by the oldest-first cap",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self._ack_exhausted_counter = metrics.counter(
             "mediator.seq.ack_exhausted",
             "reliable deliveries whose whole retransmission budget expired",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self._resync_replays_counter = metrics.counter(
             "mediator.seq.resync_replays",
             "retained events replayed to resync a gapped subscriber",
-            labels=("range",))
+            labels=("range",)).labels(range=label)
         self.resyncs_served = 0
         self.deliveries_exhausted = 0
         self._opgraph: Optional[OperatorGraph] = None
@@ -284,11 +286,10 @@ class EventMediator(Process):
         if self.indexed and constraints.type_name is not None:
             keys = list(self._retained_by_type.get(constraints.type_name, ()))
             events = [self._retained[key] for key in keys if key in self._retained]
-            self._index_hits_counter.inc(len(events), range=self.range_name or "-")
+            self._index_hits_counter.inc(len(events))
         else:
             events = list(self._retained.values())
-            self._index_residual_counter.inc(len(events),
-                                             range=self.range_name or "-")
+            self._index_residual_counter.inc(len(events))
         for event in events:
             if subscription.active and subscription.filter.matches(event):
                 self._deliver(subscription, event)
@@ -381,7 +382,7 @@ class EventMediator(Process):
         """Distribute ``event``; returns the number of local deliveries."""
         self.published += 1
         self.by_type[event.type_name] += 1
-        self._published_counter.inc(range=self.range_name or "-")
+        self._published_counter.inc()
         # span only when this publication is part of a traced operation
         # (query replay, bridged delivery...); background sensor chatter
         # stays span-free so it cannot flood the trace store
@@ -403,7 +404,6 @@ class EventMediator(Process):
             return delivered
         if not self.indexed:
             return self._fan_out_naive(event, bridged)
-        label = self.range_name or "-"
         sub_ids, hits, residual = self._sub_index.candidates(event)
         delivered = 0
         for sub_id in sub_ids:
@@ -425,9 +425,9 @@ class EventMediator(Process):
                 if bridge is not None and bridge.filter.matches(event):
                     self._forward(bridge, event)
         if hits:
-            self._index_hits_counter.inc(hits, range=label)
+            self._index_hits_counter.inc(hits)
         if residual:
-            self._index_residual_counter.inc(residual, range=label)
+            self._index_residual_counter.inc(residual)
         return delivered
 
     def _forward_bridges_indexed(self, event: ContextEvent) -> None:
@@ -437,11 +437,10 @@ class EventMediator(Process):
             bridge = self._bridges.get(bridge_id)
             if bridge is not None and bridge.filter.matches(event):
                 self._forward(bridge, event)
-        label = self.range_name or "-"
         if hits:
-            self._index_hits_counter.inc(hits, range=label)
+            self._index_hits_counter.inc(hits)
         if residual:
-            self._index_residual_counter.inc(residual, range=label)
+            self._index_residual_counter.inc(residual)
 
     def _graph_deliver(self, sub_id: int, event: ContextEvent) -> None:
         """Operator-graph sink callback: one result for one subscription."""
@@ -491,7 +490,7 @@ class EventMediator(Process):
                 if not by_type:
                     del self._retained_by_type[oldest_key[0]]
             self.retained_evictions += 1
-            self._retained_evicted_counter.inc(range=self.range_name or "-")
+            self._retained_evicted_counter.inc()
             if self._ledger is not None:
                 self._ledger.append(self.now, "retain-evict",
                                     {"key": list(oldest_key)})
@@ -508,7 +507,7 @@ class EventMediator(Process):
     def _deliver(self, subscription: Subscription, event: ContextEvent) -> None:
         subscription.record_delivery()
         self.deliveries += 1
-        self._deliveries_counter.inc(range=self.range_name or "-")
+        self._deliveries_counter.inc()
         if self._ledger is not None:
             self._ledger.append(self.now, "delivery", {
                 "sub_id": subscription.sub_id,
@@ -538,7 +537,7 @@ class EventMediator(Process):
         the sequence and drives recovery through ``resync``.
         """
         self.deliveries_exhausted += 1
-        self._ack_exhausted_counter.inc(range=self.range_name or "-")
+        self._ack_exhausted_counter.inc()
         logger.info("%s: delivery seq=%d to %s unacked after retries",
                     self.name, seq, subscription.subscriber)
 
@@ -616,8 +615,7 @@ class EventMediator(Process):
         before = self.deliveries
         self._replay_retained(subscription,
                               analyse_filter(subscription.filter))
-        self._resync_replays_counter.inc(self.deliveries - before,
-                                         range=self.range_name or "-")
+        self._resync_replays_counter.inc(self.deliveries - before)
         if not subscription.active:  # one-time sub consumed by the replay
             self._drop_subscription(subscription)
         self.reply(message, "resync-ack",

@@ -201,13 +201,12 @@ class MediatorShard(EventMediator):
         store regardless of age; sorting on the first-retained seq stamp
         restores the order a never-rebalanced store would replay in.
         """
-        label = self.range_name or "-"
         if self.indexed and constraints.type_name is not None:
             entries = self.retained_entries(constraints.type_name)
-            self._index_hits_counter.inc(len(entries), range=label)
+            self._index_hits_counter.inc(len(entries))
         else:
             entries = self.retained_entries()
-            self._index_residual_counter.inc(len(entries), range=label)
+            self._index_residual_counter.inc(len(entries))
         entries.sort(key=lambda entry: entry[0])
         for _, _, event in entries:
             if subscription.active and subscription.filter.matches(event):
@@ -269,13 +268,15 @@ class ShardedEventMediator(EventMediator):
         self._shard_ledgers: List = []
         metrics = network.obs.metrics
         label = ("range",)
+        range_label = self.range_name or "-"
         self._routed_counter = metrics.counter(
             "cs.shard.routed",
-            "publishes routed to their owner shard", labels=label)
+            "publishes routed to their owner shard",
+            labels=label).labels(range=range_label)
         self._dispatched_counter = metrics.counter(
             "cs.shard.dispatched",
             "shard-forwarded events fanned out to routed entries at the router",
-            labels=label)
+            labels=label).labels(range=range_label)
         self._moved_subs_counter = metrics.counter(
             "cs.shard.moved_subs",
             "subscriptions migrated between shards by a rebalance",
@@ -501,8 +502,8 @@ class ShardedEventMediator(EventMediator):
         """Route to the owner shard. Returns 0: delivery happens there."""
         self.published += 1
         self.by_type[event.type_name] += 1
-        self._published_counter.inc(range=self.range_name or "-")
-        self._routed_counter.inc(range=self.range_name or "-")
+        self._published_counter.inc()
+        self._routed_counter.inc()
         target = self._shard_guids[self._ring.owner((event.type_name,
                                                      event.subject))]
         if self.reliable:
@@ -518,7 +519,7 @@ class ShardedEventMediator(EventMediator):
         """An owner shard forwarded an event our routed entries may match."""
         event = ContextEvent.from_wire(message.payload["event"])
         bridged = bool(message.payload.get("bridged"))
-        self._dispatched_counter.inc(range=self.range_name or "-")
+        self._dispatched_counter.inc()
         delivered = self._fan_out(event, bridged)
         if self.reliable:
             # only the request-with-retries path consumes this ack; the
@@ -536,11 +537,10 @@ class ShardedEventMediator(EventMediator):
         for shard_id in list(self._shards):
             entries.extend(self._shards[shard_id].retained_entries(type_name))
         entries.sort(key=lambda entry: entry[0])
-        label = self.range_name or "-"
         if type_name is not None:
-            self._index_hits_counter.inc(len(entries), range=label)
+            self._index_hits_counter.inc(len(entries))
         else:
-            self._index_residual_counter.inc(len(entries), range=label)
+            self._index_residual_counter.inc(len(entries))
         for _, _, event in entries:
             if subscription.active and subscription.filter.matches(event):
                 self._deliver(subscription, event)

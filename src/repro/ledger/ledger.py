@@ -26,6 +26,8 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.obs.metrics import BoundCounter
+
 #: artefact format marker; bump on incompatible changes
 LEDGER_SCHEMA = "sci.ledger/1"
 
@@ -130,12 +132,16 @@ class ContextLedger:
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
         self._unsealed: List[tuple] = []
         self._metrics = metrics
-        self._appends_counter = None
+        #: entry kind -> bound ``cs.ledger.appends`` handle (None: no metrics)
+        self._appends: Optional[Dict[str, BoundCounter]] = None
         if metrics is not None:
-            self._appends_counter = metrics.counter(
+            appends = metrics.counter(
                 "cs.ledger.appends",
                 "ledger entries appended, by entry kind",
                 labels=("range", "kind"))
+            label = range_name or "-"
+            self._appends = {kind: appends.labels(range=label, kind=kind)
+                             for kind in ENTRY_KINDS}
 
     # -- append path ----------------------------------------------------------
 
@@ -152,8 +158,8 @@ class ContextLedger:
         if kind not in ENTRY_KINDS:
             raise LedgerError(f"unknown entry kind {kind!r}")
         self._unsealed.append((sim_time, kind, payload))
-        if self._appends_counter is not None:
-            self._appends_counter.inc(range=self.range_name or "-", kind=kind)
+        if self._appends is not None:
+            self._appends[kind].inc()
 
     def _seal(self) -> None:
         """Extend the hash chain over every body appended since last seal."""

@@ -15,7 +15,8 @@ from typing import Any, Dict, Optional
 
 from repro.core.ids import GUID
 
-#: Sentinel recipient meaning "every process on the destination host".
+#: Sentinel recipient meaning "every process on the sender's host that
+#: listens for this kind" (see ``Process.BROADCAST_KINDS``).
 BROADCAST = GUID((1 << 128) - 1)
 
 _message_ids = itertools.count(1)

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import BoundCounter, MetricsRegistry
 
 #: canonical metric names backing the facade
 SENT = "net.messages.sent"
@@ -55,14 +55,24 @@ class MessageStats:
         self._latency = self.registry.histogram(
             LATENCY, "end-to-end delivery latency (simulated time units)",
             reservoir_size=latency_reservoir)
+        #: bound per-kind / per-host counter handles, minted on first use
+        self._sent_by_kind: Dict[str, BoundCounter] = {}
+        self._delivered_by_host: Dict[str, BoundCounter] = {}
 
     # -- recording ------------------------------------------------------------
 
     def record_send(self, kind: str) -> None:
-        self._sent.inc(kind=kind)
+        handle = self._sent_by_kind.get(kind)
+        if handle is None:
+            handle = self._sent_by_kind[kind] = self._sent.labels(kind=kind)
+        handle.inc()
 
     def record_delivery(self, host_id: str, latency: float) -> None:
-        self._delivered.inc(host=host_id)
+        handle = self._delivered_by_host.get(host_id)
+        if handle is None:
+            handle = self._delivered_by_host[host_id] = \
+                self._delivered.labels(host=host_id)
+        handle.inc()
         self._latency.observe(latency)
 
     def record_drop(self) -> None:

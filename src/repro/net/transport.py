@@ -164,6 +164,11 @@ class Process:
     #: bound on remembered (sender, msg_id) arrivals per process
     DEDUP_CACHE = 1024
 
+    #: link-local broadcast kinds this process listens for; the network
+    #: indexes listeners by (host, kind) at attach, so a broadcast reaches
+    #: only the host-local processes that declare its kind
+    BROADCAST_KINDS: frozenset = frozenset()
+
     def __init__(self, guid: GUID, host_id: str, network: "Network", name: str = ""):
         self.guid = guid
         self.host_id = host_id
@@ -347,10 +352,13 @@ class Network:
             psched.on_quiesce(self._flush_lane_stats)
         self._hosts: Dict[str, Host] = {}
         self._processes: Dict[GUID, Process] = {}
-        #: host id -> processes living there (insertion-ordered), so the
-        #: per-host lookup in link-local broadcast is O(processes on host)
-        #: rather than a scan over every process in the deployment
+        #: host id -> processes living there (insertion-ordered), so
+        #: ``processes_on`` is O(processes on host) rather than a scan over
+        #: every process in the deployment
         self._processes_by_host: Dict[str, Dict[GUID, Process]] = {}
+        #: (host id, kind) -> processes there declaring that broadcast kind
+        #: (insertion-ordered); link-local broadcast iterates only this
+        self._listeners: Dict[Tuple[str, str], Dict[GUID, Process]] = {}
         self._partition_of: Dict[str, int] = {}
         #: opt-in LaneSan runtime race detector (see repro.analysis.lanesan):
         #: the lane-shared registries become ownership-asserting views that
@@ -364,6 +372,8 @@ class Network:
                 self._processes, "net.processes")
             self._processes_by_host = self.sanitizer.wrap_dict(
                 self._processes_by_host, "net.processes_by_host")
+            self._listeners = self.sanitizer.wrap_dict(
+                self._listeners, "net.listeners")
             self._partition_of = self.sanitizer.wrap_dict(
                 self._partition_of, "net.partition_of")
             if self._host_rngs is not None:
@@ -428,6 +438,9 @@ class Network:
         self.host(process.host_id)  # must exist
         self._processes[process.guid] = process
         self._processes_by_host.setdefault(process.host_id, {})[process.guid] = process
+        for kind in process.BROADCAST_KINDS:
+            listeners = self._listeners.setdefault((process.host_id, kind), {})
+            listeners[process.guid] = process
 
     def detach(self, guid: GUID) -> None:
         process = self._processes.pop(guid, None)
@@ -435,6 +448,10 @@ class Network:
             on_host = self._processes_by_host.get(process.host_id)
             if on_host is not None:
                 on_host.pop(guid, None)
+            for kind in process.BROADCAST_KINDS:
+                listeners = self._listeners.get((process.host_id, kind))
+                if listeners is not None:
+                    listeners.pop(guid, None)
 
     def process(self, guid: GUID) -> Optional[Process]:
         return self._processes.get(guid)
@@ -493,16 +510,20 @@ class Network:
         self._dispatch(message, source_host, recipient)
 
     def _broadcast(self, message: Message, source_host: Optional[Host]) -> None:
-        """Deliver to every other process on the sender's host.
+        """Deliver to every other process on the sender's host that declares
+        ``message.kind`` in its :attr:`Process.BROADCAST_KINDS`.
 
         This models the paper's Figure-5 bootstrap: the Range Service
         "listens for CAAs or CEs starting up" on its machine — a link-local
-        announcement, not a network-wide flood.
+        announcement heard only by its listeners, not a host-wide or
+        network-wide flood. Starting N components on one host thus costs N
+        deliveries, not N².
         """
         if source_host is None:
             self._stat().record_undeliverable()
             return
-        for process in self.processes_on(source_host.host_id):
+        listeners = self._listeners.get((source_host.host_id, message.kind), {})
+        for process in listeners.values():
             if process.guid == message.sender:
                 continue
             copy = Message(

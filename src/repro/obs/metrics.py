@@ -166,11 +166,19 @@ class _Metric:
 
     def _key(self, labels: Mapping[str, object], store: Dict) -> Tuple[str, ...]:
         """Validate a label mapping and return the series key for it."""
+        return self._resolve(self._label_key(labels), store)
+
+    def _label_key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
+        """Validate a label mapping and return its label-value tuple."""
         if set(labels) != set(self.label_names):
             raise MetricError(
                 f"{self.name}: expected labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}")
-        key = tuple(str(labels[name]) for name in self.label_names)
+        return tuple(str(labels[name]) for name in self.label_names)
+
+    def _resolve(self, key: Tuple[str, ...], store: Dict) -> Tuple[str, ...]:
+        """The series ``key`` files under: itself, or the overflow series
+        once ``store`` holds ``max_series`` other keys."""
         if key not in store and len(store) >= self.max_series:
             self.overflowed += 1
             return OVERFLOW_KEY
@@ -199,6 +207,14 @@ class Counter(_Metric):
         key = self._key(labels, self._values)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def labels(self, **labels: object) -> "BoundCounter":
+        """A handle on one label set whose ``inc`` skips label validation.
+
+        The label names are checked here, once; hot call sites bind at
+        construction and call ``handle.inc()`` per update.
+        """
+        return BoundCounter(self, self._label_key(labels))
+
     def value(self, **labels: object) -> float:
         key = tuple(str(labels[name]) for name in self.label_names)
         return self._values.get(key, 0.0)
@@ -219,6 +235,34 @@ class Counter(_Metric):
     def reset(self) -> None:
         self._values.clear()
         self.overflowed = 0
+
+
+class BoundCounter:
+    """One label set of a :class:`Counter`, bound by :meth:`Counter.labels`.
+
+    Only the label-name check is hoisted to bind time. The series key is
+    resolved against the counter's live store on each update (through
+    :meth:`_Metric._resolve`, as ``Counter.inc`` does), so ``max_series``
+    overflow and ``reset()`` behave exactly as for ``counter.inc(**labels)``.
+    """
+
+    __slots__ = ("counter", "_key")
+
+    def __init__(self, counter: Counter, key: Tuple[str, ...]):
+        self.counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        counter = self.counter
+        if amount < 0:
+            raise MetricError(f"{counter.name}: counters only go up ({amount})")
+        values = counter._values
+        key = self._key
+        if key in values:
+            values[key] += amount
+        else:
+            key = counter._resolve(key, values)
+            values[key] = values.get(key, 0.0) + amount
 
 
 class Gauge(_Metric):

@@ -25,6 +25,9 @@ logger = logging.getLogger(__name__)
 class RangeService(Process):
     """One discovery daemon on one machine of a range's jurisdiction."""
 
+    #: the one link-local announcement the RS listens for (Figure 5)
+    BROADCAST_KINDS = frozenset({"component-up"})
+
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  range_name: str, registrar: GUID):
         super().__init__(guid, host_id, network,

@@ -16,6 +16,12 @@ from repro.net.transport import (
 )
 
 
+class AnnounceListener(FunctionProcess):
+    """A process that listens for the link-local ``announce`` broadcast."""
+
+    BROADCAST_KINDS = frozenset({"announce"})
+
+
 def make_pair(net, guids, host_a="host-a", host_b="host-b"):
     inbox_a, inbox_b = [], []
     a = FunctionProcess(guids.mint(), host_a, net, inbox_a.append, name="a")
@@ -69,17 +75,22 @@ class TestDelivery:
         assert inbox_b == []
 
     def test_broadcast_reaches_same_host_only(self, network, guids):
-        a, b, inbox_a2, inbox_b = [None] * 4
-        sender = FunctionProcess(guids.mint(), "host-a", network,
-                                 lambda m: None, name="sender")
-        local = []
-        remote = []
-        FunctionProcess(guids.mint(), "host-a", network, local.append)
-        FunctionProcess(guids.mint(), "host-b", network, remote.append)
+        """Link-local broadcast reaches exactly the host-local processes
+        that declare the kind; non-listeners and remote listeners hear
+        nothing."""
+        sender = AnnounceListener(guids.mint(), "host-a", network,
+                                  lambda m: None, name="sender")
+        listener, bystander, remote = [], [], []
+        AnnounceListener(guids.mint(), "host-a", network, listener.append)
+        FunctionProcess(guids.mint(), "host-a", network, bystander.append)
+        AnnounceListener(guids.mint(), "host-b", network, remote.append)
         sender.send(BROADCAST, "announce")
         network.scheduler.run_until_idle()
-        assert len(local) == 1
+        assert [m.kind for m in listener] == ["announce"]
+        assert listener[0].sender == sender.guid
+        assert bystander == []
         assert remote == []
+        assert network.stats.delivered == 1
 
     def test_stats_by_kind(self, network, guids):
         a, b, _, _ = make_pair(network, guids)

@@ -47,6 +47,63 @@ class TestCounter:
             Counter("c", labels=("a", "b")).by_label()
 
 
+class TestBoundCounter:
+    """``Counter.labels`` hoists label validation to bind time; updates
+    through the handle must be indistinguishable from ``inc(**labels)``."""
+
+    def test_wrong_label_names_raise_at_bind(self):
+        counter = Counter("c", labels=("range", "kind"))
+        with pytest.raises(MetricError):
+            counter.labels(range="r")
+        with pytest.raises(MetricError):
+            counter.labels(range="r", kind="k", extra="x")
+        with pytest.raises(MetricError):
+            counter.labels(range="r", sort="k")
+        with pytest.raises(MetricError):
+            Counter("plain").labels(kind="k")
+
+    def test_negative_amount_still_rejected(self):
+        handle = Counter("c", labels=("kind",)).labels(kind="k")
+        with pytest.raises(MetricError):
+            handle.inc(-1)
+        assert handle.counter.total() == 0
+
+    def test_label_values_keyed_as_strings(self):
+        counter = Counter("c", labels=("n",))
+        counter.labels(n=7).inc()
+        counter.inc(n="7")
+        assert counter.value(n=7) == 2
+
+    def test_matches_unbound_past_max_series_and_across_reset(self):
+        bound_reg = MetricsRegistry(max_series=3)
+        plain_reg = MetricsRegistry(max_series=3)
+        bound = bound_reg.counter("c", labels=("kind",))
+        plain = plain_reg.counter("c", labels=("kind",))
+        kinds = [f"k{i}" for i in range(6)]
+        # every handle is bound before any series exists, so overflow must
+        # be decided at update time, not frozen at bind time
+        handles = {kind: bound.labels(kind=kind) for kind in kinds}
+        script = [(kinds[i % 6], 1.0 + (i % 3)) for i in range(8 * 6 + 1)]
+
+        def play(steps):
+            for kind, amount in steps:
+                handles[kind].inc(amount)
+                plain.inc(amount, kind=kind)
+            assert bound_reg.snapshot() == plain_reg.snapshot()
+
+        play(script[:4])
+        play(script[4:20])
+        assert bound.overflowed == plain.overflowed > 0
+        assert OVERFLOW_KEY in bound.items()
+        bound_reg.reset()
+        plain_reg.reset()
+        assert bound_reg.snapshot() == plain_reg.snapshot()
+        # after reset the first three kinds to arrive own the real series
+        play(script[21:])
+        assert bound.overflowed == plain.overflowed > 0
+        assert set(bound.items()) == set(plain.items())
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         gauge = Gauge("g")
