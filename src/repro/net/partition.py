@@ -53,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.net.sim import Timer, callsite, timer_owner
+from repro.net.sim import SchedulerBase, Timer
 
 _INF = float("inf")
 
@@ -64,6 +64,19 @@ EXTERNAL_RANK = -1
 
 #: profiler site label for fast-lane deliveries (no Timer handle to carry one)
 _DELIVERY_SITE = "Network._deliver"
+
+
+def _profiled(profiler: Any, timer: Optional[Timer], when: float,
+              fn: Callable, args: tuple) -> None:
+    """Run ``fn(*args)`` and record it under its site: the timer's (read
+    before the call, which may cancel the timer) or the delivery site."""
+    if timer is None:
+        site, lag = _DELIVERY_SITE, 0.0
+    else:
+        site, lag = timer.site, when - timer.created_at
+    started = perf_counter()
+    fn(*args)
+    profiler.record(site, lag, perf_counter() - started)
 
 
 class CausalityError(RuntimeError):
@@ -104,7 +117,7 @@ class _Lane:
         self.processed = 0
 
 
-class PartitionedScheduler:
+class PartitionedScheduler(SchedulerBase):
     """Drop-in scheduler sharding hosts across per-partition event queues.
 
     ``partitions=1`` (the default) degenerates to a single lane with an
@@ -123,10 +136,14 @@ class PartitionedScheduler:
     fn, args)``. ``(when, origin_rank, origin_seq)`` is the canonical,
     partition-invariant ordering key (unique, so comparison never reaches
     the callable); ``owner_rank`` is the host whose state the callback
-    touches and becomes the executing context's current rank. Deliveries
-    scheduled through :meth:`schedule_delivery` carry ``timer=None`` — no
-    handle, no closure, no callsite formatting — which is the fast path
-    that pays for the substrate's bookkeeping.
+    touches and becomes the executing context's current rank. A timer's
+    entry leaves ``fn``/``args`` empty: the callable lives only on the
+    :class:`~repro.net.sim.Timer`, so cancelling it releases the callable
+    here too. Deliveries scheduled through :meth:`schedule_delivery` carry
+    ``timer=None`` and their own ``fn``/``args`` — no handle, no callsite
+    formatting — which is the fast path that pays for the substrate's
+    bookkeeping. The scheduling front end (``schedule``, ``call_soon``,
+    ``schedule_periodic``) is :class:`~repro.net.sim.SchedulerBase`'s.
     """
 
     def __init__(self, partitions: int = 1, lookahead: float = 0.0,
@@ -226,67 +243,22 @@ class PartitionedScheduler:
 
     # -- scheduling (Timer-compatible API) -----------------------------------
 
-    def schedule(self, delay: float, fn: Callable, *args, **kwargs) -> Timer:
-        """Run ``fn(*args, **kwargs)`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, fn, *args, **kwargs)
-
-    def schedule_at(self, when: float, fn: Callable, *args, **kwargs) -> Timer:
-        """Run ``fn(*args, **kwargs)`` at absolute simulated time ``when``.
+    def _push(self, timer: Timer) -> None:
+        """File a timer minted by :meth:`SchedulerBase.schedule_at`.
 
         From inside a host callback the timer stays on that host's lane
         (keyed by the host's rank); from control or external context it
         goes to the control lane and runs as a global barrier.
         """
         lane = getattr(self._tls, "lane", None)
-        base = self._now if lane is None else lane.now
-        if when < base:
-            raise ValueError(f"cannot schedule in the past: {when} < {base}")
-        if args or kwargs:
-            bound = lambda: fn(*args, **kwargs)  # noqa: E731 - tiny closure
-        else:
-            bound = fn
         if lane is None or lane.index < 0 or lane.current_rank < 0:
             rank, target = EXTERNAL_RANK, self._control
         else:
             rank, target = lane.current_rank, lane
-        timer = Timer(when, bound, site=callsite(fn), created_at=base,
-                      scheduler=target)
-        if self.event_log is not None:
-            timer.owner = timer_owner(fn)
-        heapq.heappush(target.heap,
-                       (when, rank, self._next_seq(rank), rank, timer,
-                        bound, ()))
+        timer._scheduler = target
+        heapq.heappush(target.heap, (timer.when, rank, self._next_seq(rank),
+                                     rank, timer, None, ()))
         target._live += 1
-        return timer
-
-    def call_soon(self, fn: Callable, *args, **kwargs) -> Timer:
-        """Run a callback at the current instant, after pending same-time events."""
-        return self.schedule(0.0, fn, *args, **kwargs)
-
-    def schedule_periodic(self, interval: float, fn: Callable) -> Timer:
-        """Run ``fn()`` every ``interval`` units until the returned timer is
-        cancelled. The handle returned stays valid across re-arms."""
-        if interval <= 0:
-            raise ValueError(f"non-positive interval: {interval}")
-        site = f"{callsite(fn)}[periodic]"
-        handle = Timer(self.now + interval, lambda: None, site=site,
-                       created_at=self.now)
-
-        def tick():
-            if handle.cancelled:
-                return
-            fn()
-            if not handle.cancelled:
-                inner = self.schedule(interval, tick)
-                inner.site = site
-                handle.when = inner.when
-
-        inner = self.schedule(interval, tick)
-        inner.site = site
-        handle.when = inner.when
-        return handle
 
     def schedule_delivery(self, source_host: str, target_host: str,
                           delay: float, fn: Callable, *args) -> None:
@@ -400,24 +372,15 @@ class PartitionedScheduler:
             callback()
         return final
 
-    def run_for(self, duration: float) -> float:
-        """Advance the clock ``duration`` units, firing due events."""
-        return self.run_until_idle(max_time=self.now + duration)
-
-    def run_until(self, when: float) -> float:
-        """Advance the clock to absolute time ``when``, firing due events."""
-        if when < self.now:
-            raise ValueError(f"cannot run backwards: {when} < {self.now}")
-        return self.run_until_idle(max_time=when)
-
     def _run_control_event(self) -> int:
         control = self._control
         when, _rank, _seq, _owner, timer, fn, args = heapq.heappop(control.heap)
-        if timer is not None and timer.cancelled:
-            return 0
-        control._live -= 1
         if timer is not None:
+            if timer.cancelled:
+                return 0
             timer._scheduler = None
+            fn, args = timer.fn, timer.args
+        control._live -= 1
         control.now = when
         if when > self._now:
             self._now = when
@@ -429,19 +392,9 @@ class PartitionedScheduler:
         self._tls.lane = control
         try:
             if profiler is None:
-                if args:
-                    fn(*args)
-                else:
-                    fn()
+                fn(*args)
             else:
-                started = perf_counter()
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-                site = timer.site if timer is not None else _DELIVERY_SITE
-                lag = when - timer.created_at if timer is not None else 0.0
-                profiler.record(site, lag, perf_counter() - started)
+                _profiled(profiler, timer, when, fn, args)
         finally:
             self._tls.lane = None
         return 1
@@ -465,15 +418,18 @@ class PartitionedScheduler:
                     break
                 heapq.heappop(heap)
                 timer = entry[4]
-                if timer is not None:
+                if timer is None:
+                    fn = entry[5]
+                    args = entry[6]
+                else:
                     if timer.cancelled:
                         continue
                     timer._scheduler = None
+                    fn = timer.fn
+                    args = timer.args
                 lane._live -= 1
                 lane.now = when
                 lane.current_rank = entry[3]
-                fn = entry[5]
-                args = entry[6]
                 if log is not None and timer is not None \
                         and timer.owner is not None:
                     lane.log_buffer.append(
@@ -483,40 +439,13 @@ class PartitionedScheduler:
                     # state (directories, cross-host registries) stays safe
                     with lock:
                         if profiler is None:
-                            if args:
-                                fn(*args)
-                            else:
-                                fn()
+                            fn(*args)
                         else:
-                            started = perf_counter()
-                            if args:
-                                fn(*args)
-                            else:
-                                fn()
-                            if timer is not None:
-                                profiler.record(timer.site,
-                                                when - timer.created_at,
-                                                perf_counter() - started)
-                            else:
-                                profiler.record(_DELIVERY_SITE, 0.0,
-                                                perf_counter() - started)
+                            _profiled(profiler, timer, when, fn, args)
                 elif profiler is None:
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
+                    fn(*args)
                 else:
-                    started = perf_counter()
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-                    if timer is not None:
-                        profiler.record(timer.site, when - timer.created_at,
-                                        perf_counter() - started)
-                    else:
-                        profiler.record(_DELIVERY_SITE, 0.0,
-                                        perf_counter() - started)
+                    _profiled(profiler, timer, when, fn, args)
                 count += 1
         finally:
             self._tls.lane = None
@@ -565,10 +494,6 @@ class PartitionedScheduler:
         for lane in self._lanes:
             total += lane._live
         return total
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
 
     def on_quiesce(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the end of every ``run_*`` drain (after the

@@ -30,6 +30,10 @@ from repro.net.sim import Timer
 from repro.net.transport import Process
 
 
+def _ignore_reply(_reply: Message) -> None:
+    """The ``on_reply`` of a request whose caller does not want the reply."""
+
+
 @dataclass
 class PendingRequest:
     """Book-keeping for one in-flight request."""
@@ -115,7 +119,7 @@ class RequestManager:
         pending = PendingRequest(
             msg_id=message.msg_id,
             kind=kind,
-            on_reply=on_reply or (lambda _reply: None),
+            on_reply=on_reply or _ignore_reply,
             on_timeout=on_timeout,
             message=message,
             max_retries=self.max_retries if retries is None else retries,

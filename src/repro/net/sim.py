@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
@@ -44,48 +45,161 @@ def timer_owner(fn: Callable) -> Optional[str]:
     return host if isinstance(host, str) else None
 
 
+def _noop(*_args) -> None:
+    """The callback a cancelled :class:`Timer` holds instead of its own."""
+
+
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
-    Cancellation is lazy: the heap entry stays put and is skipped when
-    popped, which is O(1) and keeps the heap simple. ``_scheduler`` is set
-    only while the timer is live in a heap; it lets :meth:`cancel` keep the
-    scheduler's pending-event counter exact without scanning the heap.
+    The timer holds the callable and its positional arguments (``fn``,
+    ``args``), never a closure over them; the run loop calls
+    ``fn(*args)``. Cancellation is lazy: the heap entry stays put and is
+    skipped when popped, which is O(1) and keeps the heap simple. But
+    :meth:`cancel` swaps ``fn``/``args`` for a shared no-op and ``()`` at
+    once (as asyncio's ``TimerHandle.cancel`` does), so a dead entry pins
+    only this small handle — not the callback's bound instance and
+    arguments (an answered request, its message and payload) until its due
+    time comes round. ``_scheduler`` is set only while the timer is live
+    in a heap; it lets :meth:`cancel` keep the scheduler's pending-event
+    counter exact without scanning the heap.
 
     ``site`` and ``created_at`` feed the optional scheduler profiler: which
-    code scheduled this event, and how long it dwelt in the heap. ``owner``
-    is the host the callback belongs to (see :func:`timer_owner`); it is
-    resolved only when an event log is attached, and stays None otherwise.
+    code scheduled this event, and how long it dwelt in the heap. ``site``
+    is minted from ``fn`` on first read (see :func:`callsite`), which the
+    run loop does at fire time and only for a profiler or event log, so a
+    cancelled timer never pays for it. ``owner`` is the host the callback
+    belongs to (see :func:`timer_owner`); it is resolved at schedule time
+    only when an event log is attached, and stays None otherwise.
 
     ``_scheduler`` is duck-typed: any object with a ``_live`` counter works,
     which is how the partitioned substrate's lanes reuse this class.
     """
 
-    __slots__ = ("when", "fn", "cancelled", "site", "created_at", "owner",
-                 "_scheduler")
+    __slots__ = ("when", "fn", "args", "cancelled", "_site", "created_at",
+                 "owner", "_scheduler")
 
-    def __init__(self, when: float, fn: Callable[[], None],
-                 site: str = "", created_at: float = 0.0,
-                 scheduler: "Optional[Scheduler]" = None):
+    def __init__(self, when: float, fn: Callable, args: tuple = (),
+                 site: Optional[str] = None, created_at: float = 0.0):
         self.when = when
         self.fn = fn
+        self.args = args
         self.cancelled = False
-        self.site = site
+        self._site = site
         self.created_at = created_at
         self.owner: Optional[str] = None
-        self._scheduler = scheduler
+        self._scheduler = None
+
+    @property
+    def site(self) -> str:
+        """Profiling label of the scheduled callable, minted on first read."""
+        site = self._site
+        if site is None:
+            site = self._site = callsite(self.fn)
+        return site
+
+    @site.setter
+    def site(self, value: str) -> None:
+        self._site = value
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
+        # release the callback and its arguments now, not when popped
+        self.fn = _noop
+        self.args = ()
         if self._scheduler is not None:
             self._scheduler._live -= 1
             self._scheduler = None
 
 
-class Scheduler:
+class SchedulerBase:
+    """The scheduling front end both schedulers share.
+
+    A subclass provides ``now``, :meth:`_push` (file a new timer in its
+    queue, setting the timer's ``_scheduler``) and :meth:`run_until_idle`;
+    everything that mints a :class:`Timer` lives here, once.
+    """
+
+    def schedule(self, delay: float, fn: Callable, *args, **kwargs) -> Timer:
+        """Run ``fn(*args, **kwargs)`` after ``delay`` simulated time units."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        return self.schedule_at(self.now + delay, fn, *args, **kwargs)
+
+    def schedule_at(self, when: float, fn: Callable, *args, **kwargs) -> Timer:
+        """Run ``fn(*args, **kwargs)`` at absolute simulated time ``when``."""
+        now = self.now
+        if when < now:
+            raise ValueError(f"cannot schedule in the past: {when} < {now}")
+        if kwargs:
+            # the rare keyword form binds once, labelled as the original
+            timer = Timer(when, partial(fn, *args, **kwargs), (),
+                          callsite(fn), now)
+        else:
+            timer = Timer(when, fn, args, None, now)
+        if self.event_log is not None:
+            timer.owner = timer_owner(fn)
+        self._push(timer)
+        return timer
+
+    def _push(self, timer: Timer) -> None:
+        raise NotImplementedError
+
+    def call_soon(self, fn: Callable, *args, **kwargs) -> Timer:
+        """Run a callback at the current instant, after pending same-time events."""
+        return self.schedule(0.0, fn, *args, **kwargs)
+
+    def schedule_periodic(self, interval: float, fn: Callable) -> Timer:
+        """Run ``fn()`` every ``interval`` units until the returned timer is
+        cancelled. The handle returned stays valid across re-arms."""
+        if interval <= 0:
+            raise ValueError(f"non-positive interval: {interval}")
+        site = f"{callsite(fn)}[periodic]"
+        handle = Timer(self.now + interval, _noop, site=site,
+                       created_at=self.now)
+
+        def tick():
+            if handle.cancelled:
+                return
+            fn()
+            if not handle.cancelled:
+                inner = self.schedule(interval, tick)
+                inner.site = site
+                handle.when = inner.when
+
+        inner = self.schedule(interval, tick)
+        inner.site = site
+        handle.when = inner.when
+        return handle
+
+    def run_until_idle(self, max_time: Optional[float] = None,
+                       max_events: int = 10_000_000) -> float:
+        raise NotImplementedError
+
+    def run_for(self, duration: float) -> float:
+        """Advance the clock ``duration`` units, firing due events."""
+        return self.run_until_idle(max_time=self.now + duration)
+
+    def run_until(self, when: float) -> float:
+        """Advance the clock to absolute time ``when``, firing due events."""
+        if when < self.now:
+            raise ValueError(f"cannot run backwards: {when} < {self.now}")
+        return self.run_until_idle(max_time=when)
+
+    @property
+    def events_processed(self) -> int:
+        return self._events_processed
+
+
+class Scheduler(SchedulerBase):
     """A deterministic discrete-event loop.
+
+    Timers carry ``(fn, args)``, not closures, and a cancelled timer lets
+    go of both at once, so lazily-cancelled heap entries stay small (see
+    :class:`Timer`). Profiler sites are minted when an event fires, and
+    only when a profiler or event log is attached.
 
     >>> sched = Scheduler()
     >>> fired = []
@@ -113,57 +227,10 @@ class Scheduler:
         #: observables (the transport records deliveries itself)
         self.event_log = None
 
-    # -- scheduling ---------------------------------------------------------
-
-    def schedule(self, delay: float, fn: Callable, *args, **kwargs) -> Timer:
-        """Run ``fn(*args, **kwargs)`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, fn, *args, **kwargs)
-
-    def schedule_at(self, when: float, fn: Callable, *args, **kwargs) -> Timer:
-        """Run ``fn(*args, **kwargs)`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        if args or kwargs:
-            bound = lambda: fn(*args, **kwargs)  # noqa: E731 - tiny closure
-        else:
-            bound = fn
-        # attribute the event to the *original* callable, not the closure
-        timer = Timer(when, bound, site=callsite(fn), created_at=self.now,
-                      scheduler=self)
-        if self.event_log is not None:
-            timer.owner = timer_owner(fn)
-        heapq.heappush(self._heap, (when, next(self._sequence), timer))
+    def _push(self, timer: Timer) -> None:
+        timer._scheduler = self
+        heapq.heappush(self._heap, (timer.when, next(self._sequence), timer))
         self._live += 1
-        return timer
-
-    def call_soon(self, fn: Callable, *args, **kwargs) -> Timer:
-        """Run a callback at the current instant, after pending same-time events."""
-        return self.schedule(0.0, fn, *args, **kwargs)
-
-    def schedule_periodic(self, interval: float, fn: Callable) -> Timer:
-        """Run ``fn()`` every ``interval`` units until the returned timer is
-        cancelled. The handle returned stays valid across re-arms."""
-        if interval <= 0:
-            raise ValueError(f"non-positive interval: {interval}")
-        site = f"{callsite(fn)}[periodic]"
-        handle = Timer(self.now + interval, lambda: None, site=site,
-                       created_at=self.now)
-
-        def tick():
-            if handle.cancelled:
-                return
-            fn()
-            if not handle.cancelled:
-                inner = self.schedule(interval, tick)
-                inner.site = site
-                handle.when = inner.when
-
-        inner = self.schedule(interval, tick)
-        inner.site = site
-        handle.when = inner.when
-        return handle
 
     # -- running ------------------------------------------------------------
 
@@ -190,12 +257,14 @@ class Scheduler:
             if self.event_log is not None and timer.owner is not None:
                 self.event_log.record_timer(timer.owner, when, timer.site)
             if self.profiler is not None:
+                # read the site first: the callback may cancel its own timer
+                site = timer.site
                 started = perf_counter()
-                timer.fn()
-                self.profiler.record(timer.site, when - timer.created_at,
+                timer.fn(*timer.args)
+                self.profiler.record(site, when - timer.created_at,
                                      perf_counter() - started)
             else:
-                timer.fn()
+                timer.fn(*timer.args)
             processed += 1
             self._events_processed += 1
             if processed >= max_events:
@@ -204,26 +273,12 @@ class Scheduler:
             self.now = max_time  # time passes even when nothing is scheduled
         return self.now
 
-    def run_for(self, duration: float) -> float:
-        """Advance the clock ``duration`` units, firing due events."""
-        return self.run_until_idle(max_time=self.now + duration)
-
-    def run_until(self, when: float) -> float:
-        """Advance the clock to absolute time ``when``, firing due events."""
-        if when < self.now:
-            raise ValueError(f"cannot run backwards: {when} < {self.now}")
-        return self.run_until_idle(max_time=when)
-
     # -- introspection ------------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued (O(1))."""
         return self._live
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
 
     def __repr__(self) -> str:
         return f"Scheduler(now={self.now:.3f}, pending={self.pending})"

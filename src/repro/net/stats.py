@@ -55,6 +55,8 @@ class MessageStats:
         self._latency = self.registry.histogram(
             LATENCY, "end-to-end delivery latency (simulated time units)",
             reservoir_size=latency_reservoir)
+        #: bound handle on the one (unlabelled) latency series
+        self._latency_handle = self._latency.labels()
         #: bound per-kind / per-host counter handles, minted on first use
         self._sent_by_kind: Dict[str, BoundCounter] = {}
         self._delivered_by_host: Dict[str, BoundCounter] = {}
@@ -73,7 +75,7 @@ class MessageStats:
             handle = self._delivered_by_host[host_id] = \
                 self._delivered.labels(host=host_id)
         handle.inc()
-        self._latency.observe(latency)
+        self._latency_handle.observe(latency)
 
     def record_drop(self) -> None:
         self._dropped.inc()

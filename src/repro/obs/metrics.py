@@ -310,18 +310,22 @@ class Histogram(_Metric):
         self._series: Dict[Tuple[str, ...], Reservoir] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels, self._series)
+        self._reservoir(self._key(labels, self._series)).observe(value)
+
+    def labels(self, **labels: object) -> "BoundHistogram":
+        """A handle on one label set whose ``observe`` skips label
+        validation (see :meth:`Counter.labels`)."""
+        return BoundHistogram(self, self._label_key(labels))
+
+    def series(self, **labels: object) -> Reservoir:
+        return self._reservoir(
+            tuple(str(labels[name]) for name in self.label_names))
+
+    def _reservoir(self, key: Tuple[str, ...]) -> Reservoir:
+        """The reservoir of series ``key``, created on first use."""
         reservoir = self._series.get(key)
         if reservoir is None:
             # deterministic per-series seed: same run, same quantiles
-            seed = zlib.crc32(("/".join((self.name,) + key)).encode())
-            reservoir = self._series[key] = Reservoir(self.reservoir_size, seed)
-        reservoir.observe(value)
-
-    def series(self, **labels: object) -> Reservoir:
-        key = tuple(str(labels[name]) for name in self.label_names)
-        reservoir = self._series.get(key)
-        if reservoir is None:
             seed = zlib.crc32(("/".join((self.name,) + key)).encode())
             reservoir = self._series[key] = Reservoir(self.reservoir_size, seed)
         return reservoir
@@ -373,6 +377,30 @@ class Histogram(_Metric):
     def reset(self) -> None:
         self._series.clear()
         self.overflowed = 0
+
+
+class BoundHistogram:
+    """One label set of a :class:`Histogram`, bound by :meth:`Histogram.labels`.
+
+    Like :class:`BoundCounter`, only the label-name check is hoisted; the
+    series is resolved per update (through :meth:`_Metric._resolve`), so
+    ``max_series`` overflow and ``reset()`` behave exactly as for
+    ``histogram.observe(value, **labels)``.
+    """
+
+    __slots__ = ("histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: Tuple[str, ...]):
+        self.histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        histogram = self.histogram
+        reservoir = histogram._series.get(self._key)
+        if reservoir is None:
+            reservoir = histogram._reservoir(
+                histogram._resolve(self._key, histogram._series))
+        reservoir.observe(value)
 
 
 class MetricsRegistry:

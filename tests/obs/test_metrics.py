@@ -104,6 +104,55 @@ class TestBoundCounter:
         assert set(bound.items()) == set(plain.items())
 
 
+class TestBoundHistogram:
+    """``Histogram.labels`` mirrors ``Counter.labels``: observations through
+    the handle must be indistinguishable from ``observe(value, **labels)``."""
+
+    def test_wrong_label_names_raise_at_bind(self):
+        histogram = Histogram("h", labels=("host",))
+        with pytest.raises(MetricError):
+            histogram.labels()
+        with pytest.raises(MetricError):
+            histogram.labels(host="a", extra="x")
+        with pytest.raises(MetricError):
+            Histogram("plain").labels(host="a")
+
+    def test_unlabelled_handle_feeds_the_single_series(self):
+        histogram = Histogram("h")
+        handle = histogram.labels()
+        for value in (3.0, 1.0, 2.0):
+            handle.observe(value)
+        assert histogram.count == 3
+        assert histogram.summary()["max"] == 3.0
+
+    def test_matches_unbound_past_max_series_and_across_reset(self):
+        bound_reg = MetricsRegistry(max_series=3)
+        plain_reg = MetricsRegistry(max_series=3)
+        # a small reservoir so algorithm R's replacement draws are compared
+        bound = bound_reg.histogram("h", labels=("host",), reservoir_size=4)
+        plain = plain_reg.histogram("h", labels=("host",), reservoir_size=4)
+        hosts = [f"h{i}" for i in range(6)]
+        handles = {host: bound.labels(host=host) for host in hosts}
+        script = [(hosts[i % 6], 0.5 * (i % 7)) for i in range(10 * 6 + 1)]
+
+        def play(steps):
+            for host, value in steps:
+                handles[host].observe(value)
+                plain.observe(value, host=host)
+            assert bound_reg.snapshot() == plain_reg.snapshot()
+
+        play(script[:4])
+        play(script[4:30])
+        assert bound.overflowed == plain.overflowed > 0
+        assert OVERFLOW_KEY in bound.items()
+        bound_reg.reset()
+        plain_reg.reset()
+        assert bound_reg.snapshot() == plain_reg.snapshot()
+        play(script[31:])
+        assert bound.overflowed == plain.overflowed > 0
+        assert set(bound.items()) == set(plain.items())
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         gauge = Gauge("g")
