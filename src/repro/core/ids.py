@@ -35,13 +35,27 @@ class GUID:
 
     Instances are hashable and totally ordered by numeric value, so they can
     key dictionaries (routing tables, registrars) and sort deterministically.
+
+    GUIDs key nearly every hot dict and are rendered to hex on every wire
+    crossing, so both are paid once per instance: the hash is computed at
+    construction — the same ``hash((value,))`` the dataclass would return,
+    so set and dict iteration orders are unchanged — and :attr:`hex` is
+    cached on first read.
     """
 
     value: int
 
+    #: cached :attr:`hex`; a class attribute, not a dataclass field, so it
+    #: takes no part in ``__init__``, equality, ordering or ``repr``
+    _hex = None
+
     def __post_init__(self):
         if not 0 <= self.value < (1 << GUID_BITS):
             raise ValueError(f"GUID value out of range: {self.value!r}")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_hex(cls, text: str) -> "GUID":
@@ -75,8 +89,12 @@ class GUID:
 
     @property
     def hex(self) -> str:
-        """Canonical fixed-width lowercase hex rendering."""
-        return format(self.value, f"0{GUID_DIGITS}x")
+        """Canonical fixed-width lowercase hex rendering (cached)."""
+        text = self._hex
+        if text is None:
+            text = format(self.value, f"0{GUID_DIGITS}x")
+            object.__setattr__(self, "_hex", text)
+        return text
 
     def digit(self, index: int) -> int:
         """Return hex digit ``index`` (0 = most significant)."""

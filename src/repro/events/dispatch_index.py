@@ -11,14 +11,19 @@ and files the subscription in the most selective dict bucket those
 constraints allow:
 
 ======================  =========================================
-constraints extracted   bucket
+constraints extracted   bucket (first row that applies)
 ======================  =========================================
 type AND subject        ``(type_name, subject)``
-type only               ``(type_name,)``
-subject only            ``(subject,)``
-source only             ``(source_hex,)``
+source                  ``(source_hex,)``
+type                    ``(type_name,)``
+subject                 ``(subject,)``
 none (Or/Not/attr/all)  residual scan list
 ======================  =========================================
+
+A source constraint outranks a bare type: a configuration edge compiles to
+``And(Type, Source)`` on its upstream CE (Figure 3), and one CE is a far
+narrower key than every CE of its type, so filing such edges under their
+source makes a publish visit only its own subscribers.
 
 Dispatch then looks up the event's own ``(type, subject)``, ``type``,
 ``subject`` and ``source`` keys plus the residual list — O(matching +
@@ -201,12 +206,12 @@ class DispatchIndex:
         if constraints.type_name is not None and constraints.has_subject:
             store = self._by_type_subject
             key: object = (constraints.type_name, constraints.subject)
+        elif constraints.source_hex is not None:
+            store, key = self._by_source, constraints.source_hex
         elif constraints.type_name is not None:
             store, key = self._by_type, constraints.type_name
         elif constraints.has_subject:
             store, key = self._by_subject, constraints.subject
-        elif constraints.source_hex is not None:
-            store, key = self._by_source, constraints.source_hex
         else:
             self._residual[entry_id] = None
             self._bucket_of[entry_id] = (self._residual, None)

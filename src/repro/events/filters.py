@@ -27,6 +27,7 @@ import operator
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import SCIError
+from repro.core.ids import GUID_DIGITS
 from repro.events.event import ContextEvent
 
 
@@ -156,6 +157,15 @@ class SubjectFilter(EventFilter):
         return {"op": "subject", "subject": self.subject}
 
 
+def _canonical_guid_value(text: object) -> Optional[int]:
+    """The value whose canonical GUID hex is ``text``, else None."""
+    try:
+        value = int(text, 16)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+    return value if format(value, f"0{GUID_DIGITS}x") == text else None
+
+
 class SourceFilter(EventFilter):
     """Match events produced by one Context Entity.
 
@@ -165,9 +175,13 @@ class SourceFilter(EventFilter):
 
     def __init__(self, source_hex: str):
         self.source_hex = source_hex
+        #: the GUID value ``source_hex`` renders, parsed once; None when
+        #: the text is not a canonical rendering, which no event's
+        #: ``source.hex`` can equal
+        self._value = _canonical_guid_value(source_hex)
 
     def matches(self, event: ContextEvent) -> bool:
-        return event.source.hex == self.source_hex
+        return event.source.value == self._value
 
     def to_spec(self) -> Dict[str, Any]:
         return {"op": "source", "source": self.source_hex}

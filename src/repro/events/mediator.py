@@ -59,7 +59,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.ids import GUID
 from repro.net.message import Message
@@ -196,6 +196,10 @@ class EventMediator(Process):
             labels=("range",)).labels(range=label)
         self.resyncs_served = 0
         self.deliveries_exhausted = 0
+        #: the event being fanned out and its wire form, built on first use
+        #: (see :meth:`_fan_out`); both None outside a fan-out
+        self._wire_event: Optional[ContextEvent] = None
+        self._wire: Optional[Dict[str, Any]] = None
         self._opgraph: Optional[OperatorGraph] = None
         if engine == "opgraph":
             self._opgraph = OperatorGraph(
@@ -395,6 +399,32 @@ class EventMediator(Process):
         return delivered
 
     def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
+        """Match ``event`` and send it on, serialising it at most once.
+
+        Every delivery and bridge forward of this event shares one
+        ``event.to_wire()`` dict (see :meth:`_wire_of`); receivers only read
+        it, and :meth:`ContextEvent.from_wire` copies what it keeps. The
+        previous scope is restored afterwards, so a nested fan-out cannot
+        leave a stale wire behind.
+        """
+        outer = self._wire_event, self._wire
+        self._wire_event, self._wire = event, None
+        try:
+            return self._match_and_send(event, bridged)
+        finally:
+            self._wire_event, self._wire = outer
+
+    def _wire_of(self, event: ContextEvent) -> Dict[str, Any]:
+        """The wire form of ``event``: shared within its fan-out, fresh
+        anywhere else (retained replay delivers each event once)."""
+        if event is not self._wire_event:
+            return event.to_wire()
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = event.to_wire()
+        return wire
+
+    def _match_and_send(self, event: ContextEvent, bridged: bool) -> int:
         if self.retain_events:
             self._store_retained(event)
         if self._opgraph is not None:
@@ -470,7 +500,7 @@ class EventMediator(Process):
 
     def _forward(self, bridge: Bridge, event: ContextEvent) -> None:
         bridge.forwarded += 1
-        payload = {"event": event.to_wire(), "bridged": True}
+        payload = {"event": self._wire_of(event), "bridged": True}
         if self.reliable:
             # inter-range forwarding rides the same ack/retry machinery;
             # the peer's publish-ack resolves the request
@@ -515,19 +545,18 @@ class EventMediator(Process):
                 "type": event.type_name,
                 "subject": event.subject,
             })
+        wire = self._wire_of(event)
         with self.network.obs.tracer.span_if_active(
                 "mediator.deliver", range=self.range_name,
                 type=event.type_name, sub_id=subscription.sub_id):
             if not self.reliable:
                 self.send(subscription.subscriber, "event",
-                          {"event": event.to_wire(),
-                           "sub_id": subscription.sub_id})
+                          {"event": wire, "sub_id": subscription.sub_id})
                 return
             seq = subscription.next_seq()
             self.requests.request(
                 subscription.subscriber, "event",
-                {"event": event.to_wire(), "sub_id": subscription.sub_id,
-                 "seq": seq},
+                {"event": wire, "sub_id": subscription.sub_id, "seq": seq},
                 on_timeout=lambda: self._delivery_exhausted(subscription, seq))
 
     def _delivery_exhausted(self, subscription: Subscription, seq: int) -> None:

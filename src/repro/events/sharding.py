@@ -106,7 +106,9 @@ class _InterestSet:
         self._apply(constraints, -1)
 
     def _apply(self, constraints: FilterConstraints, delta: int) -> None:
-        # mirror DispatchIndex bucket priority: most selective axis wins
+        # one axis per entry, type first: any constrained axis is a sound
+        # demand check, so this summary need not pick the dispatch index's
+        # bucket (which files And(Type, Source) under the source)
         if constraints.type_name is not None:
             _bump(self.types, constraints.type_name, delta)
         elif constraints.has_subject:

@@ -21,12 +21,18 @@ trace store should be too.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (Any, Callable, ContextManager, Dict, Iterator, List,
+                    Optional, Tuple)
 
 #: wire keys used on Message.trace
 TRACE_KEY = "trace"
 SPAN_KEY = "span"
+
+
+#: what :meth:`Tracer.span_if_active` returns outside a trace: a stateless,
+#: reusable context whose ``with ... as span`` binds None
+_NO_SPAN: ContextManager[None] = nullcontext()
 
 
 class Span:
@@ -268,21 +274,17 @@ class Tracer:
         finally:
             self.finish(span)
 
-    @contextmanager
-    def span_if_active(self, name: str, **attributes: Any) -> Iterator[Optional[Span]]:
+    def span_if_active(self, name: str, **attributes: Any) -> ContextManager[Optional[Span]]:
         """Open a span only when already inside a trace.
 
         High-frequency sites (event fan-out, per-message hooks) use this so
         untraced background chatter does not mint a root trace per call.
+        Untraced, it returns one shared do-nothing context that yields None,
+        so the common case builds no context manager at all.
         """
-        if not self.active:
-            yield None
-            return
-        span = self.start(name, **attributes)
-        try:
-            yield span
-        finally:
-            self.finish(span)
+        if not self._ambient():
+            return _NO_SPAN
+        return self.span(name, **attributes)
 
     # -- ambient context ------------------------------------------------------
 

@@ -104,6 +104,45 @@ class TestDispatchIndex:
         ids, hits, _ = index.candidates(event(guids, source=source))
         assert ids == [1] and hits == 1
 
+    def test_configuration_edge_files_under_its_source(self, guids):
+        # And(Type, Source) is what a Figure-3 configuration edge compiles to
+        upstream, other = guids.mint(), guids.mint()
+        index = DispatchIndex()
+        index.add(1, AndFilter([TypeFilter("location"),
+                                SourceFilter(upstream.hex)]))
+        index.add(2, AndFilter([TypeFilter("location"),
+                                SourceFilter(other.hex)]))
+        index.add(3, AndFilter([SourceFilter(upstream.hex),
+                                TypeFilter("presence")]))
+        assert index._by_source == {upstream.hex: {1: None, 3: None},
+                                    other.hex: {2: None}}
+        assert index._by_type == {}
+        ids, hits, residual = index.candidates(event(guids, source=upstream))
+        assert ids == [1, 3] and hits == 2 and residual == 0
+        ids, _, _ = index.candidates(event(guids, source=other))
+        assert ids == [2]
+
+    def test_type_and_subject_outrank_source(self, guids):
+        source = guids.mint()
+        index = DispatchIndex()
+        index.add(1, AndFilter([TypeFilter("location"), SubjectFilter("bob"),
+                                SourceFilter(source.hex)]))
+        index.add(2, AndFilter([SubjectFilter("bob"),
+                                SourceFilter(source.hex)]))
+        assert index._by_type_subject == {("location", "bob"): {1: None}}
+        assert index._by_source == {source.hex: {2: None}}
+
+    def test_source_entries_merge_in_id_order(self, guids):
+        source = guids.mint()
+        index = DispatchIndex()
+        index.add(1, TypeFilter("location"))
+        index.add(2, AndFilter([TypeFilter("location"),
+                                SourceFilter(source.hex)]))
+        index.add(3, SubjectFilter("bob"))
+        index.add(4, MatchAll())
+        ids, hits, residual = index.candidates(event(guids, source=source))
+        assert ids == [1, 2, 3, 4] and hits == 3 and residual == 1
+
     def test_re_add_moves_entry(self, guids):
         index = DispatchIndex()
         index.add(1, TypeFilter("location"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ids
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
 from repro.events.event import ContextEvent
@@ -46,6 +47,30 @@ class TestPrimitives:
     def test_source_filter(self):
         assert SourceFilter(GUID.hex).matches(event())
         assert not SourceFilter("00" * 32).matches(event())
+
+    @pytest.mark.parametrize("spelling", [
+        lambda hx: hx.upper(),               # not lowercase
+        lambda hx: hx.lstrip("0") or "0",    # not fixed width
+        lambda hx: "0x" + hx,                # prefixed
+        lambda hx: hx[:4] + "_" + hx[4:],    # int() accepts underscores
+        lambda hx: " " + hx,                 # int() accepts padding
+        lambda hx: "+" + hx,                 # int() accepts a sign
+        lambda hx: hx[:-1] + "g",            # not hex at all
+        lambda hx: "",
+    ])
+    def test_non_canonical_source_hex_never_matches(self, spelling):
+        # leading zeros, so the unpadded spelling differs from the canonical
+        source = ids.GUID(0xABC << 64)
+        text = spelling(source.hex)
+        assert text != source.hex
+        probe = ContextEvent(TypeSpec("location", "topological", "bob"),
+                             "L10.01", source, 1.0)
+        assert not SourceFilter(text).matches(probe)
+        assert SourceFilter(source.hex).matches(probe)
+
+    def test_non_string_source_never_matches(self):
+        assert not SourceFilter(GUID.value).matches(event())
+        assert not SourceFilter(None).matches(event())
 
     def test_attribute_filter_on_attributes(self):
         assert AttributeFilter("floor", "==", 10).matches(event(floor=10))

@@ -193,3 +193,77 @@ class TestBridging:
         publish(a)
         network.scheduler.run_until_idle()
         assert b.published == 0
+
+
+@pytest.fixture
+def wire_calls(monkeypatch):
+    """Count ContextEvent.to_wire calls, per event seq."""
+    calls = []
+    original = ContextEvent.to_wire
+
+    def counting(event):
+        calls.append(event.seq)
+        return original(event)
+
+    monkeypatch.setattr(ContextEvent, "to_wire", counting)
+    return calls
+
+
+def inboxes_for(network, guids, mediator, count, event_filter):
+    inboxes = []
+    for _ in range(count):
+        inbox = []
+        process = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
+        mediator.add_subscription(process.guid, event_filter)
+        inboxes.append(inbox)
+    return inboxes
+
+
+class TestSerialiseOnce:
+    @pytest.mark.parametrize("engine", ["classic", "indexed", "opgraph"])
+    def test_one_wire_per_publish_whatever_the_fan_out(
+            self, network, guids, wire_calls, engine):
+        mediator = EventMediator(guids.mint(), "host-a", network, "r",
+                                 engine=engine)
+        peer = EventMediator(guids.mint(), "host-b", network, "peer")
+        mediator.add_bridge(peer.guid, TypeFilter("location"))
+        inboxes = inboxes_for(network, guids, mediator, 5,
+                              TypeFilter("location"))
+        assert publish(mediator) == 5
+        assert len(wire_calls) == 1
+        network.scheduler.run_until_idle()
+        assert all(len(inbox) == 1 for inbox in inboxes)
+        assert peer.published == 1
+        publish(mediator, value="L10.02")
+        assert len(wire_calls) == 2  # a new publish gets its own wire
+        assert wire_calls[0] != wire_calls[1]
+
+    def test_decoded_events_are_independent(self, network, guids):
+        mediator = EventMediator(guids.mint(), "host-a", network, "r")
+        inboxes = inboxes_for(network, guids, mediator, 3,
+                              TypeFilter("location"))
+        event = ContextEvent(TypeSpec("location", "topological", "bob"),
+                             "L10.01", mediator.guid, 0.0,
+                             attributes={"accuracy": 0.9, "tags": ["door"]})
+        mediator.publish(event)
+        network.scheduler.run_until_idle()
+        decoded = [ContextEvent.from_wire(inbox[0].payload["event"])
+                   for inbox in inboxes]
+        decoded[0].attributes["accuracy"] = 0.1
+        decoded[0].attributes["extra"] = True
+        for other in decoded[1:]:
+            assert other.attributes == {"accuracy": 0.9, "tags": ["door"]}
+        assert event.attributes == {"accuracy": 0.9, "tags": ["door"]}
+        assert len({inbox[0].payload["sub_id"] for inbox in inboxes}) == 3
+
+    def test_replay_and_later_publishes_never_reuse_a_stale_wire(
+            self, network, guids, wire_calls):
+        mediator = EventMediator(guids.mint(), "host-a", network, "r")
+        publish(mediator, value="first")
+        inbox = inboxes_for(network, guids, mediator, 1,
+                            TypeFilter("location"))[0]
+        publish(mediator, value="second")
+        network.scheduler.run_until_idle()
+        assert [m.payload["event"]["value"] for m in inbox] == ["first",
+                                                                "second"]
+        assert mediator._wire_event is None and mediator._wire is None

@@ -28,6 +28,15 @@ class TestCallsite:
     def test_lambda_site_is_usable(self):
         assert "lambda" in callsite(lambda: None)
 
+    def test_bound_labels_are_per_owner_type(self):
+        class Subworker(Worker):
+            pass
+
+        assert callsite(Worker().tick) is callsite(Worker().tick)  # memoised
+        assert callsite(Subworker().tick) == "Subworker.tick"
+        assert callsite(Worker().__init__) == "Worker.__init__"
+        assert callsite([].append) == "list.append"
+
 
 class TestSchedulerProfiling:
     def test_sites_counted_with_lag(self):

@@ -97,6 +97,40 @@ class TestSpanIfActive:
                 assert span is not None
                 assert span.trace_id == root.trace_id
 
+    def test_untraced_calls_share_one_reusable_context(self, tracer):
+        first = tracer.span_if_active("a", range="r")
+        second = tracer.span_if_active("b")
+        assert first is second
+        with first as outer:
+            with first as inner:  # re-entrant: nothing to unwind
+                assert outer is None and inner is None
+        assert tracer.current_context() is None
+        assert tracer.traces() == []
+
+    def test_untraced_context_lets_exceptions_through(self, tracer):
+        with pytest.raises(KeyError):
+            with tracer.span_if_active("hot-path"):
+                raise KeyError("boom")
+
+    def test_traced_opens_then_finishes_its_span(self, tracer, clock):
+        with tracer.span("root") as root:
+            clock.now = 1.0
+            with tracer.span_if_active("hot-path", sub_id=7) as span:
+                assert tracer.current_context() == {
+                    TRACE_KEY: root.trace_id, SPAN_KEY: span.span_id}
+                clock.now = 2.5
+            assert span.parent_id == root.span_id
+            assert span.attributes == {"sub_id": 7}
+            assert (span.start, span.end) == (1.0, 2.5)
+            assert tracer.current_context()[SPAN_KEY] == root.span_id
+
+    def test_traced_span_finishes_on_exception(self, tracer):
+        with tracer.span("root"):
+            with pytest.raises(KeyError):
+                with tracer.span_if_active("hot-path") as span:
+                    raise KeyError("boom")
+            assert span.closed
+
 
 class TestAmbientContext:
     def test_current_context_names_top_span(self, tracer):
