@@ -1,6 +1,20 @@
-"""Shared fixtures for the SCI reproduction test suite."""
+"""Shared fixtures for the SCI reproduction test suite.
+
+This file also registers the ``ci`` Hypothesis profile that CI selects for
+the slow tier (``pytest -m slow --hypothesis-profile=ci``). It lives here,
+not in ``tests/properties/conftest.py``, because pytest loads this file
+before Hypothesis reads ``--hypothesis-profile``, and loads the nested one
+only later, during collection. The profile is derandomised, so a run's
+examples are a function of the code alone and a failure reproduces on
+rerun; it has no example database, so nothing carries over between runs;
+no deadline, so a slow shared runner cannot fail a test on timing; and
+``print_blob``, so any failure prints the decorator that replays it.
+Example counts stay as each test sets them (Hypothesis's default of 100
+where a test sets none), which keeps the tier bounded.
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.core.ids import GuidFactory
 from repro.core.types import standard_registry
@@ -12,6 +26,9 @@ from repro.net.transport import FixedLatency, Network
 from repro.server.context_server import ContextServer
 from repro.server.deployment import deploy_door_sensors, standard_templates
 from repro.server.range import RangeDefinition
+
+settings.register_profile("ci", derandomize=True, database=None,
+                          deadline=None, print_blob=True)
 
 
 @pytest.fixture
